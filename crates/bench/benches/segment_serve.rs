@@ -6,14 +6,17 @@
 //! `MediaFile::segment` and building the `SegmentData` frame header are
 //! all O(1) in payload size (the reported ns/iter stays flat from 4 KiB
 //! to 4 MiB), while the `encode-copy` group shows what the pre-Arc
-//! deep-copy path used to cost for comparison.
+//! deep-copy path used to cost for comparison. The store side of
+//! "playback *and store*" is flat too: `MediaFile::from_store` keeps the
+//! received payload views, so its cost depends on the segment count
+//! only.
 
 use bytes::{Bytes, BytesMut};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use p2ps_core::assignment::SegmentDuration;
-use p2ps_media::{MediaFile, MediaInfo};
+use p2ps_media::{MediaFile, MediaInfo, Segment, SegmentStore};
 use p2ps_proto::{encode_frame, write_message, Message};
 
 const SIZES: [usize; 4] = [4 * 1024, 64 * 1024, 1024 * 1024, 4 * 1024 * 1024];
@@ -64,6 +67,24 @@ fn bench_serve_write(c: &mut Criterion) {
     group.finish();
 }
 
+/// Reassembling a received file must keep the stored payload views:
+/// O(segments), flat in segment size. Each payload has its own
+/// allocation, like a frame off the wire.
+fn bench_reassemble(c: &mut Criterion) {
+    let mut group = c.benchmark_group("segment-serve/reassemble");
+    for size in SIZES {
+        let info = MediaInfo::new("bench", 8, SegmentDuration::from_millis(250), size as u32);
+        let mut store = SegmentStore::new(8);
+        for i in 0..8 {
+            store.insert(Segment::new(i, Bytes::from(vec![i as u8; size])));
+        }
+        group.bench_with_input(BenchmarkId::from_parameter(size), &store, |b, s| {
+            b.iter(|| black_box(MediaFile::from_store(info.clone(), s)))
+        });
+    }
+    group.finish();
+}
+
 /// The copying baseline: encoding the payload into an intermediate frame
 /// buffer scales linearly with payload size (reported MB/s), which is why
 /// the serving loop avoids it.
@@ -92,6 +113,7 @@ criterion_group!(
     bench_bytes_clone,
     bench_segment_view,
     bench_serve_write,
+    bench_reassemble,
     bench_encode_copy
 );
 criterion_main!(benches);

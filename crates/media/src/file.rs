@@ -1,5 +1,7 @@
 //! Media file metadata and synthetic content.
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
@@ -91,15 +93,23 @@ impl MediaInfo {
 /// would have produced — the integration tests use this to prove
 /// end-to-end integrity of the streaming path.
 ///
-/// The whole file lives in **one contiguous [`Bytes`] allocation**;
-/// [`segment`](MediaFile::segment) hands out O(1) shared sub-views of it.
-/// Cloning a `MediaFile` is therefore O(1) too — a supplier can snapshot
-/// the file per session without duplicating payload bytes.
+/// The file holds **one shared [`Bytes`] view per segment**.
+/// [`synthesize`](MediaFile::synthesize) makes one allocation and slices
+/// it into those views; [`from_store`](MediaFile::from_store) and
+/// [`from_payloads`](MediaFile::from_payloads) keep the received payload
+/// views themselves, so storing a streamed file copies no payload bytes.
+/// [`segment`](MediaFile::segment) hands out O(1) clones of the views,
+/// and cloning a `MediaFile` is O(1) too (the views sit behind one
+/// `Arc`) — a supplier can snapshot the file per session without
+/// duplicating payload bytes.
+///
+/// Equality compares the metadata and every payload byte.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MediaFile {
     info: MediaInfo,
-    /// Segment `i` occupies `i*segment_bytes .. (i+1)*segment_bytes`.
-    data: Bytes,
+    /// `segments[i]` is the payload of segment `i`, exactly
+    /// `segment_bytes` long.
+    segments: Arc<[Bytes]>,
 }
 
 impl MediaFile {
@@ -109,36 +119,59 @@ impl MediaFile {
         for i in 0..info.segment_count {
             synthesize_payload_into(&info, i, &mut data);
         }
-        MediaFile {
-            info,
-            data: Bytes::from(data),
-        }
+        let data = Bytes::from(data);
+        let sz = info.segment_bytes as usize;
+        let segments = (0..info.segment_count as usize)
+            .map(|i| data.slice(i * sz..(i + 1) * sz))
+            .collect();
+        MediaFile { info, segments }
     }
 
     /// Reassembles a file from received segments (the path a requesting
     /// peer takes after a streaming session: "playback *and store*").
     ///
-    /// Returns `None` unless the store holds every segment of `info` with
-    /// the exact segment size — an incomplete or corrupt download must not
-    /// be re-served to other peers.
+    /// The file keeps the store's payload views; no payload bytes are
+    /// copied. Returns `None` unless the store expects exactly
+    /// `info.segment_count()` segments and holds every one of them with
+    /// the exact segment size — an incomplete or corrupt download must
+    /// not be re-served to other peers.
     pub fn from_store(info: MediaInfo, store: &crate::SegmentStore) -> Option<Self> {
         if store.expected() != info.segment_count || !store.is_complete() {
             return None;
         }
-        // Compact the received segments into one contiguous allocation
-        // (one copy at reassembly) so that re-serving the file later hands
-        // out O(1) views like a synthesized original.
-        let mut data = Vec::with_capacity(info.total_bytes() as usize);
-        for i in 0..info.segment_count {
-            let payload = store.get(i)?;
-            if payload.len() != info.segment_bytes as usize {
-                return None;
-            }
-            data.extend_from_slice(payload);
+        let payloads = (0..info.segment_count)
+            .map(|i| store.get(i).cloned())
+            .collect::<Option<Vec<_>>>()?;
+        Self::from_payloads(info, payloads)
+    }
+
+    /// Builds a file from its payloads in segment order, keeping each
+    /// view as it is (no payload bytes are copied).
+    ///
+    /// Returns `None` unless there is exactly one payload per segment of
+    /// `info` and each has the exact segment size.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use bytes::Bytes;
+    /// use p2ps_media::{MediaFile, MediaInfo};
+    /// use p2ps_core::assignment::SegmentDuration;
+    ///
+    /// let info = MediaInfo::new("demo", 2, SegmentDuration::from_millis(250), 3);
+    /// let a = Bytes::from_static(b"abc");
+    /// let file = MediaFile::from_payloads(info.clone(), vec![a.clone(), a.clone()]).unwrap();
+    /// assert_eq!(file.segment(1).payload().as_ptr(), a.as_ptr());
+    /// assert!(MediaFile::from_payloads(info, vec![a]).is_none());
+    /// ```
+    pub fn from_payloads(info: MediaInfo, payloads: Vec<Bytes>) -> Option<Self> {
+        let sz = info.segment_bytes as usize;
+        if payloads.len() as u64 != info.segment_count || payloads.iter().any(|p| p.len() != sz) {
+            return None;
         }
         Some(MediaFile {
             info,
-            data: Bytes::from(data),
+            segments: payloads.into(),
         })
     }
 
@@ -148,8 +181,8 @@ impl MediaFile {
     }
 
     /// Segment `index` as an owned [`Segment`] whose payload is an O(1)
-    /// shared view into the file's single allocation — no payload bytes
-    /// are copied, however large the segment.
+    /// shared view of the file's payload for that index — no payload
+    /// bytes are copied, however large the segment.
     ///
     /// # Examples
     ///
@@ -170,17 +203,15 @@ impl MediaFile {
     ///
     /// Panics if `index >= segment_count`.
     pub fn segment(&self, index: u64) -> Segment {
-        Segment::new(index, self.data.slice(self.payload_range(index)))
+        Segment::new(index, self.payload(index).clone())
     }
 
-    fn payload_range(&self, index: u64) -> std::ops::Range<usize> {
+    fn payload(&self, index: u64) -> &Bytes {
         assert!(
             index < self.info.segment_count,
             "segment index out of range"
         );
-        let sz = self.info.segment_bytes as usize;
-        let start = index as usize * sz;
-        start..start + sz
+        &self.segments[index as usize]
     }
 
     /// Iterates over all segments in order.
@@ -192,7 +223,7 @@ impl MediaFile {
     /// produce for its index.
     pub fn verify(&self, segment: &Segment) -> bool {
         segment.index() < self.info.segment_count
-            && self.data[self.payload_range(segment.index())] == segment.payload()[..]
+            && self.payload(segment.index()) == segment.payload()
     }
 }
 
@@ -221,6 +252,7 @@ fn synthesize_payload_into(info: &MediaInfo, index: u64, out: &mut Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SegmentStore;
 
     fn info() -> MediaInfo {
         MediaInfo::new("test", 8, SegmentDuration::from_millis(100), 256)
@@ -322,9 +354,9 @@ mod tests {
     #[test]
     fn segments_are_views_not_copies() {
         // The zero-copy contract: every segment (and every clone of the
-        // file) points into the file's single allocation.
+        // file) points into the synthesized file's single allocation.
         let f = MediaFile::synthesize(info());
-        let base = f.data.as_ptr();
+        let base = f.segments[0].as_ptr();
         for i in 0..8 {
             let s = f.segment(i);
             assert_eq!(
@@ -336,7 +368,90 @@ mod tests {
             assert_eq!(copy.payload().as_ptr(), s.payload().as_ptr());
         }
         let snapshot = f.clone();
-        assert_eq!(snapshot.data.as_ptr(), base, "cloning the file is O(1)");
+        assert!(
+            Arc::ptr_eq(&snapshot.segments, &f.segments),
+            "cloning the file is O(1)"
+        );
+        assert_eq!(snapshot.segments[0].as_ptr(), base);
+    }
+
+    /// A store whose payloads each live in their own allocation, like
+    /// frames off the wire.
+    fn received_store() -> SegmentStore {
+        let f = MediaFile::synthesize(info());
+        let mut store = SegmentStore::new(8);
+        for s in f.iter() {
+            store.insert(Segment::new(s.index(), Bytes::from(s.payload().to_vec())));
+        }
+        store
+    }
+
+    #[test]
+    fn from_store_keeps_the_received_views() {
+        let store = received_store();
+        let file = MediaFile::from_store(info(), &store).unwrap();
+        for i in 0..8 {
+            assert_eq!(
+                file.segment(i).payload().as_ptr(),
+                store.get(i).unwrap().as_ptr(),
+                "segment {i} must be the stored view, not a copy"
+            );
+        }
+        let snapshot = file.clone();
+        for i in 0..8 {
+            assert_eq!(
+                snapshot.segment(i).payload().as_ptr(),
+                store.get(i).unwrap().as_ptr(),
+                "a clone of a reassembled file shares segment {i}"
+            );
+        }
+        assert_eq!(file, MediaFile::synthesize(info()));
+    }
+
+    #[test]
+    fn from_store_refuses_incomplete_wrong_size_and_miscounted_stores() {
+        let full = received_store();
+        let mut incomplete = SegmentStore::new(8);
+        incomplete.extend(full.iter().take(7).map(|(i, p)| Segment::new(i, p.clone())));
+        assert!(MediaFile::from_store(info(), &incomplete).is_none());
+
+        let mut wrong_size = full.clone();
+        wrong_size.insert(Segment::new(3, Bytes::from(vec![0u8; 257])));
+        assert!(MediaFile::from_store(info(), &wrong_size).is_none());
+
+        // Eight payloads, but one of them under an index outside the file.
+        let mut stray = incomplete.clone();
+        stray.insert(Segment::new(8, full.get(7).unwrap().clone()));
+        assert!(stray.is_complete());
+        assert!(MediaFile::from_store(info(), &stray).is_none());
+
+        let mut miscounted = SegmentStore::new(7);
+        miscounted.extend(full.iter().take(7).map(|(i, p)| Segment::new(i, p.clone())));
+        assert!(miscounted.is_complete());
+        assert!(MediaFile::from_store(info(), &miscounted).is_none());
+    }
+
+    #[test]
+    fn from_payloads_checks_count_and_sizes() {
+        let f = MediaFile::synthesize(info());
+        let payloads: Vec<Bytes> = f.iter().map(Segment::into_payload).collect();
+        assert_eq!(MediaFile::from_payloads(info(), payloads.clone()), Some(f));
+        assert!(MediaFile::from_payloads(info(), payloads[..7].to_vec()).is_none());
+        let mut short = payloads;
+        short[2] = short[2].slice(..255);
+        assert!(MediaFile::from_payloads(info(), short).is_none());
+    }
+
+    #[test]
+    fn equality_compares_bytes_not_pointers() {
+        let f = MediaFile::synthesize(info());
+        let copy = MediaFile::from_store(info(), &received_store()).unwrap();
+        assert_eq!(f, copy);
+        let mut payloads: Vec<Bytes> = copy.iter().map(Segment::into_payload).collect();
+        let mut last = payloads[7].to_vec();
+        last[255] ^= 1;
+        payloads[7] = Bytes::from(last);
+        assert_ne!(f, MediaFile::from_payloads(info(), payloads).unwrap());
     }
 
     #[test]

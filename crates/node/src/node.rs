@@ -292,8 +292,8 @@ impl PeerNode {
     }
 
     /// A shared view of the node's media file, if it owns one ([`MediaFile`]
-    /// clones are O(1) views of one allocation — handy for byte-level
-    /// verification in tests and tools).
+    /// clones are O(1) — handy for byte-level verification in tests and
+    /// tools).
     pub fn media_file(&self) -> Option<MediaFile> {
         self.shared.file.lock().clone()
     }
@@ -526,16 +526,10 @@ impl PendingStream {
     /// [`NodeError::Protocol`] if the reactor shut down underneath the
     /// session.
     pub fn wait(self) -> Result<StreamOutcome, NodeError> {
-        let (outcome, store) = self
+        let (outcome, file) = self
             .rx
             .recv()
             .map_err(|_| NodeError::Protocol("reactor shut down mid-session".into()))??;
-        let file = MediaFile::from_store(self.info.clone(), &store).ok_or(
-            NodeError::IncompleteStream {
-                received: store.len() as u64,
-                expected: self.info.segment_count(),
-            },
-        )?;
         *self.shared.file.lock() = Some(file);
         // A node shut down while its session was in flight keeps the
         // completed file but must not advertise a listener nobody runs.

@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::sync::mpsc::Sender;
 
 use p2ps_core::PeerClass;
-use p2ps_media::{MediaInfo, PlaybackBuffer, Segment, SegmentStore};
+use p2ps_media::{MediaFile, MediaInfo, PlaybackBuffer};
 use p2ps_monitor::{monotonic_ms, Counter, Gauge, Monitor, Recorder, StateCell};
 use p2ps_net::{ConnId, Ctx};
 use p2ps_policy::{SelectionPolicy, SessionContext, SharedPolicy};
@@ -151,7 +151,7 @@ fn record(events: &Recorder, ev: SessionEvent) {
 }
 
 /// What a finished reactor-hosted session delivers back to the caller.
-pub(crate) type SessionResult = Result<(StreamOutcome, SegmentStore), NodeError>;
+pub(crate) type SessionResult = Result<(StreamOutcome, MediaFile), NodeError>;
 
 /// One granted supplier ready for session launch: its already-adopted
 /// connection and the wire plan the reactor will send as `StartSession`.
@@ -636,26 +636,32 @@ impl ReqSessions {
         }
         let result = match err {
             Some(e) => Err(e),
-            None => Ok(Self::complete(sess, ctx.now_ms())),
+            None => Self::complete(sess, ctx.now_ms()),
         };
         // The caller may have given up (dropped the receiver); that is
         // its prerogative, not an error here.
         let _ = done.send(result);
     }
 
-    /// Builds the outcome + store for a completed session.
-    fn complete(sess: ReqSession, now_ms: u64) -> (StreamOutcome, SegmentStore) {
+    /// Builds the outcome + file for a completed session. The file keeps
+    /// the received payload views, so this is O(segments); a missing or
+    /// wrong-size segment refuses the file.
+    fn complete(sess: ReqSession, now_ms: u64) -> SessionResult {
         let dt_ms = sess.driver.dt_ms();
         let (sm, classes) = sess.driver.into_parts();
         let total = sm.total_segments();
-        let mut store = SegmentStore::new(total);
+        let mut payloads = Vec::with_capacity(total as usize);
         let mut buffer = PlaybackBuffer::new(total, sess.info.segment_duration());
         for (index, entry) in sm.into_segments().into_iter().enumerate() {
             if let Some((payload, at_ms)) = entry {
                 buffer.record_arrival(index as u64, at_ms);
-                store.insert(Segment::new(index as u64, payload));
+                payloads.push(payload);
             }
         }
+        let received = payloads.len() as u64;
+        let expected = sess.info.segment_count();
+        let file = MediaFile::from_payloads(sess.info, payloads)
+            .ok_or(NodeError::IncompleteStream { received, expected })?;
         let measured = buffer
             .min_feasible_delay_ms()
             .expect("session completed, so did the buffer");
@@ -666,7 +672,7 @@ impl ReqSessions {
             theoretical_delay_ms: sess.theoretical_slots * dt_ms,
             duration_ms: now_ms.saturating_sub(sess.start_ms),
         };
-        (outcome, store)
+        Ok((outcome, file))
     }
 }
 

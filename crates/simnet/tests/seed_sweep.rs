@@ -146,7 +146,7 @@ fn tier1_seed_sweep() {
 }
 
 #[test]
-#[ignore = "extended 10,000-seed sweep; run with --ignored (CI nightly gate)"]
+#[ignore = "extended 12,500-schedule sweep; run with --ignored (CI nightly gate)"]
 fn extended_seed_sweep() {
     if let Some(seed) = pinned_seed() {
         for scenario in ScenarioKind::ALL {
