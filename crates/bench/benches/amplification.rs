@@ -1,11 +1,12 @@
 //! Capacity-amplification engine benchmarks: raw event throughput of
 //! the compact sharded engine, the shard-count scaling of one fixed
-//! workload, and the warmed zero-allocation replay path.
+//! workload, the warmed zero-allocation replay path, and the cost of
+//! generating the paper's arrival patterns.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use p2ps_sim::{AmpConfig, AmpEngine, ArrivalProcess};
+use p2ps_sim::{AmpConfig, AmpEngine, ArrivalPattern, ArrivalProcess};
 
 fn config(peers: u32, shards: u32, threads: usize) -> AmpConfig {
     let mut builder = AmpConfig::builder();
@@ -57,5 +58,29 @@ fn bench_warm_replay(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cold_run, bench_warm_replay);
+/// First-request times for 50,000 requesters over the paper's 72-hour
+/// window — the arrival half of every paper-scale engine setup.
+fn bench_arrival_generation(c: &mut Criterion) {
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    let mut group = c.benchmark_group("arrivals");
+    let mut rng = SmallRng::seed_from_u64(1);
+    for pattern in [
+        ArrivalPattern::Constant,
+        ArrivalPattern::Ramp,
+        ArrivalPattern::PeriodicBursts,
+    ] {
+        group.bench_function(format!("{pattern}-50k"), |b| {
+            b.iter(|| pattern.generate(50_000, 72 * 3_600, &mut rng))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_cold_run,
+    bench_warm_replay,
+    bench_arrival_generation
+);
 criterion_main!(benches);

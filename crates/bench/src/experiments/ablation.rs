@@ -41,7 +41,7 @@ pub fn run(harness: &mut Harness) {
                 b.reminders(*reminders).session_relax(*relax);
             },
         );
-        curves.push((name.to_owned(), renamed(report.capacity(), name), report));
+        curves.push((name.to_owned(), renamed(&report.capacity(), name), report));
     }
 
     {

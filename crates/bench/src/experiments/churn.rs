@@ -1,7 +1,8 @@
 //! Churn study (beyond the paper): what happens when suppliers *leave*?
 //!
 //! The paper's model keeps every converted supplier forever. Real peers
-//! quit. This experiment bounds each supplier's lifetime and compares
+//! quit. This experiment gives each converted supplier an exponentially
+//! distributed lifetime with a bounded mean and compares
 //! capacity and admission under `DACp2p` vs `NDACp2p` — the self-growing
 //! property now has to outrun attrition.
 
@@ -17,14 +18,14 @@ fn renamed(series: &TimeSeries, name: &str) -> TimeSeries {
     out
 }
 
-/// Runs the churn grid: supplier lifetimes of 6 h, 24 h and ∞.
+/// Runs the churn grid: mean supplier lifetimes of 6 h, 24 h and ∞.
 pub fn run(harness: &mut Harness) {
     println!("=== Churn: bounded supplier lifetimes (pattern 2) ===");
-    let lifetimes: [(&str, Option<u64>); 3] =
+    let lifetimes: [(&str, Option<u32>); 3] =
         [("6h", Some(6)), ("24h", Some(24)), ("forever", None)];
 
     let mut table = Table::new([
-        "lifetime",
+        "mean lifetime",
         "protocol",
         "peak capacity",
         "final capacity",
@@ -39,7 +40,7 @@ pub fn run(harness: &mut Harness) {
                 protocol,
                 |b| {
                     if let Some(h) = hours {
-                        b.supplier_lifetime_hours(h);
+                        b.supplier_lifetime_secs(h * 3_600);
                     }
                 },
             );
@@ -56,7 +57,10 @@ pub fn run(harness: &mut Harness) {
                 format!("{:.1}", report.final_overall_admission_rate()),
             ]);
             if protocol == Protocol::Dac {
-                curves.push(renamed(report.capacity(), &format!("DAC lifetime {label}")));
+                curves.push(renamed(
+                    &report.capacity(),
+                    &format!("DAC mean lifetime {label}"),
+                ));
             }
         }
     }

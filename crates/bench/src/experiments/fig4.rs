@@ -27,8 +27,8 @@ pub fn run(harness: &mut Harness) {
         let n = pattern.paper_number().expect("paper pattern");
         let dac = harness.run("fig4", pattern.clone(), Protocol::Dac, |_| {});
         let ndac = harness.run("fig4", pattern.clone(), Protocol::Ndac, |_| {});
-        let dac_series = renamed(dac.capacity(), "DAC_p2p");
-        let ndac_series = renamed(ndac.capacity(), "NDAC_p2p");
+        let dac_series = renamed(&dac.capacity(), "DAC_p2p");
+        let ndac_series = renamed(&ndac.capacity(), "NDAC_p2p");
         harness.plot(
             &format!("Fig 4 — total system capacity, arrival pattern {n}"),
             &[&dac_series, &ndac_series],
@@ -38,7 +38,7 @@ pub fn run(harness: &mut Harness) {
             "hour",
             &[&dac_series, &ndac_series],
         );
-        let max = dac.config().expected_max_capacity();
+        let max = harness.config().expected_max_capacity();
         println!(
             "pattern {n}: final capacity DAC={:.0} ({:.1}% of max {max:.0}), NDAC={:.0} ({:.1}%)",
             dac.final_capacity(),
@@ -46,7 +46,7 @@ pub fn run(harness: &mut Harness) {
             ndac.final_capacity(),
             100.0 * ndac.final_capacity() / max,
         );
-        let mid = dac.config().duration_secs() as f64 / 3_600.0 / 6.0;
+        let mid = f64::from(harness.config().horizon_secs()) / 3_600.0 / 6.0;
         println!(
             "pattern {n}: capacity at {mid:.0}h  DAC={:.0}  NDAC={:.0}  (paper: DAC grows significantly faster)\n",
             dac.capacity().value_at(mid).unwrap_or(0.0),

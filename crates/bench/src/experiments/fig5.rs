@@ -11,7 +11,7 @@ pub fn run(harness: &mut Harness) {
     println!("=== Figure 5: per-class accumulative admission rate (pattern 2) ===");
     for protocol in [Protocol::Dac, Protocol::Ndac] {
         let report = harness.run("fig4", ArrivalPattern::Ramp, protocol, |_| {});
-        let rate = report.admission_rate();
+        let rate = report.class_admission_rate();
         let series: Vec<_> = (1..=4).map(|k| rate.class(k)).collect();
         harness.plot(
             &format!("Fig 5 — accumulative admission rate (%), {protocol}"),
@@ -33,7 +33,8 @@ pub fn run(harness: &mut Harness) {
     // must be admitted at a higher rate than lower classes.
     let dac = harness.run("fig4", ArrivalPattern::Ramp, Protocol::Dac, |_| {});
     let early = 24.0;
-    let at = |k: u8| dac.admission_rate().class(k).value_at(early).unwrap_or(0.0);
+    let rate = dac.class_admission_rate();
+    let at = |k: u8| rate.class(k).value_at(early).unwrap_or(0.0);
     println!(
         "DAC admission rate at {early}h by class: {:.1} / {:.1} / {:.1} / {:.1} (paper: monotone in class)",
         at(1), at(2), at(3), at(4)

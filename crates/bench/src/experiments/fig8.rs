@@ -27,14 +27,14 @@ pub fn run_m(harness: &mut Harness) {
                 b.m(m);
             },
         );
-        curves.push((m, renamed(report.capacity(), &format!("M = {m}")), report));
+        curves.push((m, renamed(&report.capacity(), &format!("M = {m}")), report));
     }
     {
         let refs: Vec<&TimeSeries> = curves.iter().map(|(_, s, _)| s).collect();
         harness.plot("Fig 8(a) — capacity vs M (pattern 2, DACp2p)", &refs);
         harness.write_csv("fig8a", "hour", &refs);
     }
-    let half = curves[0].2.config().duration_secs() as f64 / 3_600.0 / 2.0;
+    let half = f64::from(harness.config().horizon_secs()) / 3_600.0 / 2.0;
     for (m, s, _) in &curves {
         println!(
             "M = {m:>2}: capacity at {half:.0}h = {:.0}, final = {:.0}",
@@ -49,18 +49,18 @@ pub fn run_m(harness: &mut Harness) {
 pub fn run_tout(harness: &mut Harness) {
     println!("=== Figure 8(b): impact of T_out on capacity amplification ===");
     let mut curves = Vec::new();
-    for minutes in [1u64, 2, 20, 60, 120] {
+    for minutes in [1u32, 2, 20, 60, 120] {
         let report = harness.run(
             &format!("fig8b-tout{minutes}"),
             ArrivalPattern::Ramp,
             Protocol::Dac,
             |b| {
-                b.t_out_minutes(minutes);
+                b.t_out_secs(minutes * 60);
             },
         );
         curves.push((
             minutes,
-            renamed(report.capacity(), &format!("T_out = {minutes} min")),
+            renamed(&report.capacity(), &format!("T_out = {minutes} min")),
         ));
     }
     {

@@ -33,7 +33,7 @@ pub fn run(harness: &mut Harness) {
         curves.push((
             factor,
             renamed(
-                report.overall_admission_rate(),
+                &report.overall_admission_rate(),
                 &format!("E_bkf = {factor}"),
             ),
             report,
@@ -51,7 +51,7 @@ pub fn run(harness: &mut Harness) {
         println!(
             "E_bkf = {factor}: final overall admission rate {:.1}% ({} attempts)",
             report.final_overall_admission_rate(),
-            report.attempts()
+            report.attempts
         );
     }
     println!("(paper: higher E_bkf lowers the admission rate; constant backoff wins)\n");

@@ -99,10 +99,9 @@ pub fn run(harness: &mut Harness) {
     // The paper derives average waiting from the average rejection count
     // via Σ T_bkf·E_bkf^(i-1); compare that formula against the directly
     // measured waiting times.
-    let backoff = p2ps_core::admission::BackoffPolicy::new(
-        p2_dac.config().t_bkf_secs(),
-        p2_dac.config().e_bkf(),
-    );
+    let config = harness.config();
+    let backoff =
+        p2ps_core::admission::BackoffPolicy::new(u64::from(config.t_bkf_secs()), config.e_bkf());
     let mut formula = Table::new([
         "Waiting (min), pattern 2 DAC",
         "measured",

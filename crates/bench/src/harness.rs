@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use p2ps_core::admission::Protocol;
 use p2ps_metrics::{AsciiPlot, CsvWriter, TimeSeries};
-use p2ps_sim::{ArrivalPattern, SimConfig, SimConfigBuilder, SimReport, Simulation};
+use p2ps_sim::{AmpConfig, AmpConfigBuilder, AmpEngine, AmpReport, ArrivalPattern, ArrivalProcess};
 
 /// Base RNG seed for all experiment runs (deterministic outputs).
 pub const BASE_SEED: u64 = 42;
@@ -36,7 +36,7 @@ impl Scale {
 pub struct Harness {
     scale: Scale,
     out_dir: PathBuf,
-    cache: HashMap<String, Rc<SimReport>>,
+    cache: HashMap<String, Rc<AmpReport>>,
 }
 
 impl Harness {
@@ -64,12 +64,19 @@ impl Harness {
 
     /// A config builder preloaded with the paper's §5.1 setup at the
     /// harness scale.
-    pub fn base_config(&self) -> SimConfigBuilder {
-        let mut builder = SimConfig::builder();
+    pub fn base_config(&self) -> AmpConfigBuilder {
+        let mut builder = AmpConfig::paper();
         if self.scale == Scale::Quick {
             builder.seed_suppliers(10).requesting_peers(5_000);
         }
         builder
+    }
+
+    /// The paper's §5.1 configuration at the harness scale.
+    pub fn config(&self) -> AmpConfig {
+        self.base_config()
+            .build()
+            .expect("the paper configuration is valid")
     }
 
     /// Runs (or reuses) the simulation for `pattern` × `protocol` with
@@ -79,18 +86,20 @@ impl Harness {
         label: &str,
         pattern: ArrivalPattern,
         protocol: Protocol,
-        tweak: impl FnOnce(&mut SimConfigBuilder),
-    ) -> Rc<SimReport> {
+        tweak: impl FnOnce(&mut AmpConfigBuilder),
+    ) -> Rc<AmpReport> {
         let key = format!("{label}/{pattern}/{protocol}");
         if let Some(hit) = self.cache.get(&key) {
             return Rc::clone(hit);
         }
         let mut builder = self.base_config();
-        builder.pattern(pattern).protocol(protocol);
+        builder
+            .process(ArrivalProcess::Pattern(pattern))
+            .protocol(protocol);
         tweak(&mut builder);
         let config = builder.build().expect("experiment configs are valid");
         let started = std::time::Instant::now();
-        let report = Rc::new(Simulation::new(config, BASE_SEED).run());
+        let report = Rc::new(AmpEngine::new(config, BASE_SEED).run());
         eprintln!("  [{key}] simulated in {:.2?}", started.elapsed());
         self.cache.insert(key, Rc::clone(&report));
         report
@@ -148,11 +157,11 @@ mod tests {
     fn run_cache_reuses_reports() {
         let mut h = Harness::new(Scale::Quick);
         // Tiny run so the test stays fast.
-        let tweak = |b: &mut SimConfigBuilder| {
+        let tweak = |b: &mut AmpConfigBuilder| {
             b.requesting_peers(50)
                 .seed_suppliers(5)
-                .arrival_window_hours(2)
-                .duration_hours(4);
+                .arrival_window_secs(2 * 3_600)
+                .horizon_secs(4 * 3_600);
         };
         let a = h.run("t", ArrivalPattern::Constant, Protocol::Dac, tweak);
         let b = h.run("t", ArrivalPattern::Constant, Protocol::Dac, |_| {});

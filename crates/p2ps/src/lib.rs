@@ -48,19 +48,20 @@
 //!
 //! ```
 //! use p2ps::core::admission::Protocol;
-//! use p2ps::sim::{ArrivalPattern, SimConfig, Simulation};
+//! use p2ps::sim::{AmpConfig, AmpEngine, ArrivalPattern, ArrivalProcess};
 //!
-//! let config = SimConfig::builder()
+//! let config = AmpConfig::paper()
 //!     .requesting_peers(300)
 //!     .seed_suppliers(5)
-//!     .arrival_window_hours(8)
-//!     .duration_hours(16)
-//!     .pattern(ArrivalPattern::Constant)
+//!     .arrival_window_secs(8 * 3_600)
+//!     .horizon_secs(16 * 3_600)
+//!     .process(ArrivalProcess::Pattern(ArrivalPattern::Constant))
 //!     .protocol(Protocol::Dac)
 //!     .build()?;
-//! let report = Simulation::new(config, 7).run();
+//! let report = AmpEngine::new(config, 7).run();
 //! println!("final capacity: {:.1}", report.final_capacity());
-//! # Ok::<(), p2ps::sim::ConfigError>(())
+//! println!("class-1 rejections: {:?}", report.avg_rejections(1));
+//! # Ok::<(), p2ps::sim::AmpConfigError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -101,6 +102,7 @@ pub mod prelude {
         SharedPolicy,
     };
     pub use p2ps_sim::{
-        ArrivalPattern, CellMetric, ScenarioMatrix, SimConfig, SimReport, Simulation, VodScenario,
+        AmpConfig, AmpEngine, AmpReport, ArrivalPattern, ArrivalProcess, CellMetric,
+        ScenarioMatrix, VodScenario,
     };
 }

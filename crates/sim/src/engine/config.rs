@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use p2ps_core::admission::Protocol;
 
-use crate::{ArrivalProcess, HOUR, MINUTE};
+use crate::{ArrivalPattern, ArrivalProcess, HOUR, MINUTE};
 
 /// Configuration errors raised by [`AmpConfigBuilder::build`].
 #[derive(Debug, Clone, PartialEq)]
@@ -109,6 +109,8 @@ pub struct AmpConfig {
     catalog_items: u16,
     zipf_exponent: f64,
     supplier_lifetime_secs: u32,
+    reminders: bool,
+    session_relax: bool,
     shards: u32,
     threads: usize,
 }
@@ -117,6 +119,34 @@ impl AmpConfig {
     /// A builder preloaded with the defaults above.
     pub fn builder() -> AmpConfigBuilder {
         AmpConfigBuilder::default()
+    }
+
+    /// A builder preloaded with the paper's §5.1 evaluation setup: one
+    /// item, 100 class-1 seeds, 50,000 requesters arriving over 72 h
+    /// under arrival pattern 2, a 144 h horizon. Every paper figure and
+    /// table starts from this.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use p2ps_sim::AmpConfig;
+    ///
+    /// let paper = AmpConfig::paper().build()?;
+    /// assert_eq!(paper.requesting_peers(), 50_000);
+    /// assert_eq!(paper.catalog_items(), 1);
+    /// assert!((paper.expected_max_capacity() - 7_550.0).abs() < 1e-6);
+    /// # Ok::<(), p2ps_sim::AmpConfigError>(())
+    /// ```
+    pub fn paper() -> AmpConfigBuilder {
+        let mut builder = AmpConfig::builder();
+        builder
+            .seed_suppliers(100)
+            .requesting_peers(50_000)
+            .catalog_items(1)
+            .process(ArrivalProcess::Pattern(ArrivalPattern::Ramp))
+            .arrival_window_secs(72 * HOUR as u32)
+            .horizon_secs(144 * HOUR as u32);
+        builder
     }
 
     /// Number of seed suppliers (class 1, spread round-robin over the
@@ -197,8 +227,14 @@ impl AmpConfig {
     }
 
     /// Bandwidth scale shift: a class-`k` peer offers
-    /// `R0 / 2^(k - 1 + shift)` once supplying (see
-    /// [`crate::SimConfig::bandwidth_shift`]).
+    /// `R0 / 2^(k - 1 + shift)` once supplying.
+    ///
+    /// The paper's §2 model reads `shift = 0` (class 1 offers the full
+    /// playback rate), but every quantitative aspect of its §5
+    /// evaluation — final capacity ≈ 7.5k not 15.1k, buffering delays
+    /// never below `2·δt`, the capacity collapse at `M = 4` — is only
+    /// reproducible with `shift = 1`. The default is therefore `1`; set
+    /// `0` for the literal §2 scale. See DESIGN.md §4.6.
     pub fn bandwidth_shift(&self) -> u8 {
         self.bandwidth_shift
     }
@@ -217,6 +253,18 @@ impl AmpConfig {
     /// (exponentially distributed); `0` disables churn.
     pub fn supplier_lifetime_secs(&self) -> u32 {
         self.supplier_lifetime_secs
+    }
+
+    /// Whether busy suppliers keep reminders and tighten around them at
+    /// session end (§4.1(c); ablation switch, default `true`).
+    pub fn reminders(&self) -> bool {
+        self.reminders
+    }
+
+    /// Whether a session without a favored-class request relaxes the
+    /// vector once at its end (§4.1(c); ablation switch, default `true`).
+    pub fn session_relax(&self) -> bool {
+        self.session_relax
     }
 
     /// Logical shard count (part of the trace definition).
@@ -238,6 +286,22 @@ impl AmpConfig {
     /// offers once supplying: `FULL_RATE >> (class + shift - 1)`.
     pub fn offer_raw(&self, class: u8) -> i64 {
         p2ps_core::Bandwidth::FULL_RATE.raw() as i64 >> (class + self.bandwidth_shift - 1)
+    }
+
+    /// The capacity, in sessions, of every peer (seeds and requesters)
+    /// supplying — in expectation over the class mix, at this
+    /// configuration's bandwidth scale.
+    pub fn expected_max_capacity(&self) -> f64 {
+        let full = f64::from(p2ps_core::Bandwidth::FULL_RATE.raw());
+        let mix_total: f64 = self.class_mix.iter().sum();
+        let mut cap = f64::from(self.seed_suppliers) * self.offer_raw(1) as f64 / full;
+        for (i, w) in self.class_mix.iter().enumerate() {
+            cap += f64::from(self.requesting_peers)
+                * (w / mix_total)
+                * self.offer_raw(i as u8 + 1) as f64
+                / full;
+        }
+        cap
     }
 }
 
@@ -269,6 +333,8 @@ impl Default for AmpConfigBuilder {
                 catalog_items: 16,
                 zipf_exponent: 1.0,
                 supplier_lifetime_secs: 0,
+                reminders: true,
+                session_relax: true,
                 shards: 4,
                 threads: 1,
             },
@@ -377,6 +443,18 @@ impl AmpConfigBuilder {
     /// Churn: sets the mean supplier lifetime in seconds (`0` = off).
     pub fn supplier_lifetime_secs(&mut self, secs: u32) -> &mut Self {
         self.config.supplier_lifetime_secs = secs;
+        self
+    }
+
+    /// Ablation switch: enables/disables the reminder mechanism.
+    pub fn reminders(&mut self, enabled: bool) -> &mut Self {
+        self.config.reminders = enabled;
+        self
+    }
+
+    /// Ablation switch: enables/disables end-of-session relaxation.
+    pub fn session_relax(&mut self, enabled: bool) -> &mut Self {
+        self.config.session_relax = enabled;
         self
     }
 

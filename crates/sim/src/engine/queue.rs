@@ -12,8 +12,7 @@
 ///
 /// Pop order is ascending by `T`'s `Ord`; ties are unordered, so
 /// callers that need total determinism must make `T`'s ordering total
-/// over their payloads (the simulator keys entries by
-/// `(time, sequence, …)` or `(time, kind, peer)`).
+/// over their payloads (the engine keys entries by `(time, kind, peer)`).
 #[derive(Debug, Clone)]
 pub struct IndexedHeap<T: Copy + Ord> {
     slots: Vec<T>,
@@ -37,16 +36,6 @@ impl<T: Copy + Ord> IndexedHeap<T> {
         IndexedHeap {
             slots: Vec::with_capacity(capacity),
         }
-    }
-
-    /// Number of queued entries.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the heap is empty.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// The smallest entry, if any, without removing it.
@@ -127,7 +116,7 @@ mod tests {
         assert_eq!(heap.peek(), Some(&0));
         let drained: Vec<u64> = std::iter::from_fn(|| heap.pop()).collect();
         assert_eq!(drained, (0..10).collect::<Vec<_>>());
-        assert!(heap.is_empty());
+        assert!(heap.slots.is_empty());
     }
 
     #[test]
@@ -146,7 +135,7 @@ mod tests {
                 } else {
                     assert_eq!(ours.pop(), std_heap.pop().map(|Reverse(v)| v));
                 }
-                assert_eq!(ours.len(), std_heap.len());
+                assert_eq!(ours.slots.len(), std_heap.len());
             }
             let a: Vec<_> = std::iter::from_fn(|| ours.pop()).collect();
             let b: Vec<_> = std::iter::from_fn(|| std_heap.pop().map(|Reverse(v)| v)).collect();

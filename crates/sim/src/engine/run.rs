@@ -31,7 +31,10 @@
 //! (sorted, folded into one FNV-1a digest), applies the pool
 //! adds/removes in globally sorted order, accumulates the exact
 //! fixed-point capacity delta, and samples the capacity/rejection
-//! curves.
+//! curves. At every hour mark it also sums the shards' per-class
+//! counters into the report's hourly series; the Fig. 7 walk over
+//! every supplier's vector runs beforehand, in the parallel local
+//! phase.
 //!
 //! # Determinism
 //!
@@ -43,13 +46,12 @@
 //! which shards they execute between barriers; they never influence
 //! observable order.
 //!
-//! # Divergence from the legacy simulator
+//! # Batched probing
 //!
-//! [`crate::Simulation`] probes candidates one at a time and stops as
-//! soon as `R0` is secured; the engine probes all `M` concurrently
-//! (batched, like a pipelined implementation would) and resolves at the
-//! boundary. Admission outcomes therefore differ in detail while
-//! following the same §4.1/§4.2 rules; see `docs/AMPLIFICATION.md`.
+//! An attempt probes all `M` candidates concurrently (like a pipelined
+//! implementation would) and resolves at the next epoch boundary, so a
+//! session starts up to one epoch after its request. What that batching
+//! changes per paper figure is measured in `docs/AMPLIFICATION.md`.
 
 use std::sync::{Barrier, Mutex, RwLock};
 use std::time::Instant;
@@ -62,9 +64,17 @@ use rand::{RngCore, SeedableRng};
 
 use super::config::AmpConfig;
 use super::queue::IndexedHeap;
-use super::report::{AmpReport, FoldCrossing};
+use super::report::{
+    wait_bucket, AmpReport, ClassTotals, FavoredWindow, FoldCrossing, HourSample,
+    FAVORED_WINDOW_HOURS, WAIT_BUCKETS,
+};
 use super::store::{flags, rng_next, rng_range, rng_stream, rng_unit, state, PeerStore};
 use super::store::{PackedVector, NONE_U32};
+use crate::HOUR;
+
+/// Classes the fixed-size per-class counters cover
+/// (`AmpConfig::num_classes() <= 16`).
+const MAX_CLASSES: usize = 16;
 
 // Event kinds, in tie-break order at equal timestamps.
 const K_ATTEMPT: u8 = 0;
@@ -186,6 +196,21 @@ impl Pools {
     }
 }
 
+/// One shard's per-class counters over its requesting peers (index
+/// `class - 1`). They accumulate over the whole run and are summed
+/// across shards only at hour marks and in the report, so any shard
+/// count yields the same totals.
+#[derive(Debug, Default)]
+struct ClassStats {
+    first_requests: [u64; MAX_CLASSES],
+    admits: [u64; MAX_CLASSES],
+    rejections: [u64; MAX_CLASSES],
+    delay_slots: [u64; MAX_CLASSES],
+    waiting_secs: [u64; MAX_CLASSES],
+    /// `num_classes × WAIT_BUCKETS` waiting-time bucket counts.
+    waiting_hist: Vec<u64>,
+}
+
 /// One shard: peer state, event queue, inboxes, and epoch-local
 /// accumulators. All buffers are reused across epochs.
 #[derive(Debug, Default)]
@@ -206,6 +231,11 @@ struct Shard {
     e_supplies: u64,
     e_departs: u64,
     e_events: u64,
+    classes: ClassStats,
+    /// The latest Fig. 7 walk: lowest-favored-class sums and supplier
+    /// counts per supplier class.
+    fav_sum: [u64; MAX_CLASSES],
+    fav_count: [u64; MAX_CLASSES],
 }
 
 /// Serially merged run state.
@@ -228,6 +258,15 @@ struct Global {
     events: u64,
     win_attempts: u64,
     win_rejects: u64,
+    /// Hour-mark samples: time, capacity, and per-class cumulative
+    /// first requests, admits and delay slots (`3 × num_classes` per
+    /// sample).
+    hour_t: Vec<u32>,
+    hour_capacity: Vec<i64>,
+    hour_counts: Vec<u64>,
+    /// Fig. 7 windows: per-class sums then counts (`2 × num_classes`
+    /// per window).
+    favored: Vec<u64>,
 }
 
 /// Adapts a peer's raw SplitMix64 stream to [`rand::RngCore`] so the
@@ -419,6 +458,18 @@ impl AmpEngine {
             g.events = 0;
             g.win_attempts = 0;
             g.win_rejects = 0;
+            // Sized on the first setup, so `reset` keeps them.
+            let samples = (cfg.horizon_secs() / HOUR as u32) as usize + 1;
+            let k = usize::from(num_classes);
+            g.hour_t.clear();
+            g.hour_t.reserve(samples);
+            g.hour_capacity.clear();
+            g.hour_capacity.reserve(samples);
+            g.hour_counts.clear();
+            g.hour_counts.reserve(samples * 3 * k);
+            let windows = (samples - 1) / FAVORED_WINDOW_HOURS as usize + 1;
+            g.favored.clear();
+            g.favored.resize(windows * 2 * k, 0);
         }
 
         let mut initial_capacity = 0i64;
@@ -439,6 +490,13 @@ impl AmpEngine {
             sh.e_supplies = 0;
             sh.e_departs = 0;
             sh.e_events = 0;
+            let mut waiting_hist = std::mem::take(&mut sh.classes.waiting_hist);
+            waiting_hist.clear();
+            waiting_hist.resize(usize::from(num_classes) * WAIT_BUCKETS, 0);
+            sh.classes = ClassStats {
+                waiting_hist,
+                ..ClassStats::default()
+            };
             let mut id = s as u32;
             while id < total {
                 let mut stream = rng_stream(self.seed, u64::from(id));
@@ -450,12 +508,6 @@ impl AmpEngine {
                     let local = sh.store.push(1, item, state::SUPPLYING, stream);
                     sh.store.vector[local] = PackedVector::initial(1, num_classes, protocol);
                     sh.records.push(rec(0, R_SUPPLY, id, 1));
-                    let mut pools = self.pools.write().unwrap();
-                    pools.apply(PoolOp {
-                        item,
-                        id,
-                        add: true,
-                    });
                     initial_capacity += self.offers[1];
                 } else {
                     let u = rng_unit(&mut stream);
@@ -469,12 +521,64 @@ impl AmpEngine {
                 id += s_count;
             }
         }
+        {
+            // Seeds join their pools in ascending id order — the order
+            // one shard would produce — because candidate sampling
+            // indexes the pool and the trace must not depend on the
+            // shard count.
+            let mut pools = self.pools.write().unwrap();
+            for id in 0..seeds {
+                pools.apply(PoolOp {
+                    item: (id % u32::from(items)) as u16,
+                    id,
+                    add: true,
+                });
+            }
+        }
         let mut g = self.global.lock().unwrap();
         g.capacity_raw = initial_capacity;
         g.initial_capacity_raw = initial_capacity;
         // Anchor the evolution curve at the seed capacity so consumers
         // never have to special-case `t = 0`.
         g.capacity_curve.push((0, initial_capacity));
+        for shard in &self.shards {
+            favored_walk(&mut shard.lock().unwrap(), cfg, 0);
+        }
+        self.sample_hour(&mut g, 0, 0);
+    }
+
+    /// The hour whose mark falls within epoch `epoch` (in
+    /// `(start, end]`), if any: the hourly series and the Fig. 7 walk
+    /// sample at that epoch's end.
+    fn hour_due(&self, epoch: u32) -> Option<u32> {
+        let e = u64::from(self.config.epoch_secs());
+        let start = u64::from(epoch) * e;
+        let end = (start + e).min(u64::from(self.config.horizon_secs()));
+        let hour = end / HOUR;
+        (hour * HOUR > start).then_some(hour as u32)
+    }
+
+    /// Records the hour-`hour` sample: capacity, the per-class counters
+    /// summed over shards, and the shards' latest Fig. 7 walk, which
+    /// joins its 3-hour window.
+    fn sample_hour(&self, g: &mut Global, hour: u32, t: u32) {
+        let k = usize::from(self.config.num_classes());
+        let window = (hour / FAVORED_WINDOW_HOURS) as usize * 2 * k;
+        g.hour_t.push(t);
+        let cap = g.capacity_raw;
+        g.hour_capacity.push(cap);
+        let base = g.hour_counts.len();
+        g.hour_counts.resize(base + 3 * k, 0);
+        for shard in &self.shards {
+            let sh = shard.lock().unwrap();
+            for c in 0..k {
+                g.hour_counts[base + c] += sh.classes.first_requests[c];
+                g.hour_counts[base + k + c] += sh.classes.admits[c];
+                g.hour_counts[base + 2 * k + c] += sh.classes.delay_slots[c];
+                g.favored[window + c] += sh.fav_sum[c];
+                g.favored[window + k + c] += sh.fav_count[c];
+            }
+        }
     }
 
     /// Executes the run and returns its report. Equivalent to
@@ -531,8 +635,9 @@ impl AmpEngine {
         for epoch in 0..epochs {
             let t_end = ((u64::from(epoch) + 1) * u64::from(self.config.epoch_secs()))
                 .min(u64::from(horizon)) as u32;
+            let hour = self.hour_due(epoch);
             for s in 0..shard_count {
-                self.local_phase(s, t_end);
+                self.local_phase(s, t_end, hour.is_some());
             }
             for s in 0..shard_count {
                 self.route_probes(s);
@@ -552,7 +657,7 @@ impl AmpEngine {
             for s in 0..shard_count {
                 self.commit_phase(s, t_end);
             }
-            self.finalize(epoch, t_end);
+            self.finalize(epoch, t_end, hour);
         }
     }
 
@@ -567,8 +672,9 @@ impl AmpEngine {
         for epoch in 0..epochs {
             let t_end = ((u64::from(epoch) + 1) * u64::from(self.config.epoch_secs()))
                 .min(u64::from(horizon)) as u32;
+            let hour = self.hour_due(epoch);
             for s in mine() {
-                self.local_phase(s, t_end);
+                self.local_phase(s, t_end, hour.is_some());
             }
             barrier.wait();
             for s in mine() {
@@ -596,14 +702,15 @@ impl AmpEngine {
             }
             barrier.wait();
             if w == 0 {
-                self.finalize(epoch, t_end);
+                self.finalize(epoch, t_end, hour);
             }
             barrier.wait();
         }
     }
 
-    /// Phase 1: drain this shard's events up to (excluding) `t_end`.
-    fn local_phase(&self, s: usize, t_end: u32) {
+    /// Phase 1: drain this shard's events up to (excluding) `t_end`,
+    /// then, at an hour mark, take this shard's Fig. 7 walk.
+    fn local_phase(&self, s: usize, t_end: u32, hour_mark: bool) {
         let cfg = &self.config;
         let mut shard = self.shards[s].lock().unwrap();
         let sh = &mut *shard;
@@ -627,6 +734,7 @@ impl AmpEngine {
                     }
                     if sh.store.first_request[local] == 0 && sh.store.rejections[local] == 0 {
                         sh.store.first_request[local] = t;
+                        sh.classes.first_requests[usize::from(sh.store.class[local]) - 1] += 1;
                     }
                     let rejections = sh.store.rejections[local];
                     sh.records
@@ -704,8 +812,10 @@ impl AmpEngine {
                         // session, tighten to the best reminder left by
                         // a favored-but-turned-away class.
                         if sh.store.flags[local] & flags::SAW_FAVORED == 0 {
-                            sh.store.vector[local].relax(cfg.num_classes());
-                        } else if sh.store.best_reminder[local] > 0 {
+                            if cfg.session_relax() {
+                                sh.store.vector[local].relax(cfg.num_classes());
+                            }
+                        } else if cfg.reminders() && sh.store.best_reminder[local] > 0 {
                             let to = sh.store.best_reminder[local];
                             sh.store.vector[local].tighten(to, cfg.num_classes());
                         }
@@ -730,6 +840,9 @@ impl AmpEngine {
                 }
                 _ => unreachable!("unknown event kind {kind}"),
             }
+        }
+        if hour_mark {
+            favored_walk(sh, cfg, t_end);
         }
     }
 
@@ -867,6 +980,13 @@ impl AmpEngine {
                 sh.records
                     .push(rec(tb, R_ADMIT, id, sh.accept.len() as u32));
                 sh.e_admits += 1;
+                let c = usize::from(class) - 1;
+                let waiting = tb - sh.store.first_request[local];
+                sh.classes.admits[c] += 1;
+                sh.classes.rejections[c] += u64::from(sh.store.rejections[local]);
+                sh.classes.delay_slots[c] += sh.accept.len() as u64;
+                sh.classes.waiting_secs[c] += u64::from(waiting);
+                sh.classes.waiting_hist[c * WAIT_BUCKETS + wait_bucket(waiting)] += 1;
                 let done = u64::from(tb) + u64::from(cfg.session_secs());
                 if done < u64::from(horizon) {
                     sh.queue.push((done as u32, K_COMPLETE, id));
@@ -968,7 +1088,7 @@ impl AmpEngine {
 
     /// Serial epoch finalize: merge traces, apply pool ops, advance
     /// capacity, and sample curves.
-    fn finalize(&self, epoch: u32, t_end: u32) {
+    fn finalize(&self, epoch: u32, t_end: u32, hour: Option<u32>) {
         let mut g = self.global.lock().unwrap();
         for shard in &self.shards {
             let mut shard = shard.lock().unwrap();
@@ -1036,6 +1156,9 @@ impl AmpEngine {
             g.win_attempts = 0;
             g.win_rejects = 0;
         }
+        if let Some(hour) = hour {
+            self.sample_hour(&mut g, hour, t_end);
+        }
     }
 
     /// Assembles the report of the most recent
@@ -1043,6 +1166,47 @@ impl AmpEngine {
     /// be called outside any allocation-counted region).
     pub fn report(&self) -> AmpReport {
         let g = self.global.lock().unwrap();
+        let k = usize::from(self.config.num_classes());
+        let mut classes: Vec<ClassTotals> = (0..k)
+            .map(|_| ClassTotals {
+                waiting_hist: vec![0; WAIT_BUCKETS],
+                ..ClassTotals::default()
+            })
+            .collect();
+        for shard in &self.shards {
+            let sh = shard.lock().unwrap();
+            for (c, totals) in classes.iter_mut().enumerate() {
+                totals.first_requests += sh.classes.first_requests[c];
+                totals.admits += sh.classes.admits[c];
+                totals.rejections_before_admission += sh.classes.rejections[c];
+                totals.delay_slots += sh.classes.delay_slots[c];
+                totals.waiting_secs += sh.classes.waiting_secs[c];
+                let hist = &sh.classes.waiting_hist[c * WAIT_BUCKETS..(c + 1) * WAIT_BUCKETS];
+                for (total, n) in totals.waiting_hist.iter_mut().zip(hist) {
+                    *total += n;
+                }
+            }
+        }
+        let hourly = g
+            .hour_counts
+            .chunks_exact(3 * k)
+            .zip(g.hour_t.iter().zip(&g.hour_capacity))
+            .map(|(counts, (&t_secs, &capacity_raw))| HourSample {
+                t_secs,
+                capacity_raw,
+                first_requests: counts[..k].to_vec(),
+                admits: counts[k..2 * k].to_vec(),
+                delay_slots: counts[2 * k..].to_vec(),
+            })
+            .collect();
+        let favored = g
+            .favored
+            .chunks_exact(2 * k)
+            .map(|w| FavoredWindow {
+                sums: w[..k].to_vec(),
+                counts: w[k..].to_vec(),
+            })
+            .collect();
         AmpReport {
             peers: self.config.total_peers(),
             seeds: self.config.seed_suppliers(),
@@ -1060,6 +1224,9 @@ impl AmpEngine {
             fold_crossings: g.fold_crossings.clone(),
             capacity_curve: g.capacity_curve.clone(),
             rejection_curve: g.rejection_curve.clone(),
+            classes,
+            hourly,
+            favored,
             trace_hash: g.hash,
             elapsed_micros: self.elapsed_micros,
         }
@@ -1083,6 +1250,23 @@ fn reject(sh: &mut Shard, cfg: &AmpConfig, local: usize, id: u32, t: u32, horizo
         sh.queue.push((retry as u32, K_ATTEMPT, id));
     }
     // Else: backed off past the horizon — the peer gives up.
+}
+
+/// Fig. 7 walk: samples every supplier's lowest favored class at `now`,
+/// after lazy idle relaxation, into the shard's per-class sums.
+fn favored_walk(sh: &mut Shard, cfg: &AmpConfig, now: u32) {
+    sh.fav_sum = [0; MAX_CLASSES];
+    sh.fav_count = [0; MAX_CLASSES];
+    for local in 0..sh.store.len() {
+        if sh.store.state[local] == state::SUPPLYING {
+            let c = usize::from(sh.store.class[local]) - 1;
+            let vector = sh
+                .store
+                .vector_at(local, now, cfg.t_out_secs(), cfg.protocol());
+            sh.fav_sum[c] += u64::from(vector.lowest_favored(cfg.num_classes()));
+            sh.fav_count[c] += 1;
+        }
+    }
 }
 
 /// Removes `local` from the system: pool removal op, capacity delta,
@@ -1255,6 +1439,81 @@ mod tests {
         let r = AmpEngine::new(builder.build().unwrap(), 17).run();
         assert!(r.admits > 0);
         assert!(r.rejects > 0, "a flash crowd should saturate early seeds");
+    }
+
+    /// The paper's setup on one shard with 4 seeds and 200 requesters.
+    fn one_shard_paper() -> AmpConfig {
+        AmpConfig::paper()
+            .seed_suppliers(4)
+            .requesting_peers(200)
+            .shards(1)
+            .build()
+            .unwrap()
+    }
+
+    /// A 1-shard engine whose queue holds only `events`.
+    fn engine_with_events(events: &[(u32, u8, u32)]) -> AmpEngine {
+        let engine = AmpEngine::new(one_shard_paper(), 5);
+        {
+            let mut shard = engine.shards[0].lock().unwrap();
+            shard.queue.clear();
+            for &event in events {
+                shard.queue.push(event);
+            }
+        }
+        engine
+    }
+
+    #[test]
+    fn churn_departures_shrink_capacity() {
+        // An idle supplier whose lifetime expires leaves at once: state,
+        // pool removal and capacity all follow in the same local phase.
+        let engine = engine_with_events(&[(10, K_DEPART, 1)]);
+        engine.local_phase(0, 60, false);
+        let shard = engine.shards[0].lock().unwrap();
+        assert_eq!(shard.store.state[1], state::DEPARTED);
+        assert_eq!(shard.e_departs, 1);
+        assert_eq!(shard.cap_delta, -engine.offers[1]);
+        assert_eq!(
+            shard.ops,
+            vec![PoolOp {
+                item: 0,
+                id: 1,
+                add: false
+            }]
+        );
+    }
+
+    #[test]
+    fn busy_suppliers_depart_only_after_their_session() {
+        // Seed 0 is mid-session when its departure fires: it keeps
+        // serving and leaves when the session releases it.
+        let engine = engine_with_events(&[(10, K_DEPART, 0), (100, K_RELEASE, 0)]);
+        engine.shards[0].lock().unwrap().store.flags[0] |= flags::BUSY;
+        engine.local_phase(0, 60, false);
+        {
+            let shard = engine.shards[0].lock().unwrap();
+            assert_eq!(shard.store.state[0], state::SUPPLYING);
+            assert_ne!(shard.store.flags[0] & flags::PENDING_DEPART, 0);
+            assert_eq!((shard.e_departs, shard.cap_delta), (0, 0));
+        }
+        engine.local_phase(0, 120, false);
+        let shard = engine.shards[0].lock().unwrap();
+        assert_eq!(shard.store.state[0], state::DEPARTED);
+        assert_eq!(shard.e_departs, 1);
+        assert_eq!(shard.cap_delta, -engine.offers[1]);
+    }
+
+    #[test]
+    fn peer_id_space_is_seeds_then_requesters() {
+        let engine = AmpEngine::new(one_shard_paper(), 1);
+        let shard = engine.shards[0].lock().unwrap();
+        assert_eq!(shard.store.len(), 204);
+        assert!(shard.store.state[..4]
+            .iter()
+            .all(|&s| s == state::SUPPLYING));
+        assert!(shard.store.state[4..].iter().all(|&s| s == state::WAITING));
+        assert!(shard.store.class[..4].iter().all(|&c| c == 1));
     }
 
     #[test]

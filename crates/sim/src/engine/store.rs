@@ -1,13 +1,9 @@
 //! Compact struct-of-arrays peer store for the amplification engine.
 //!
-//! The legacy simulator keeps one heap object per peer (`PeerRec` with a
-//! `Vec`-backed admission vector inside a `BTreeMap`); at 10⁶ peers that
-//! is millions of small allocations and pointer-chasing on every event.
-//! This store flattens every peer field into parallel fixed-width arrays
-//! (~40 bytes per peer, zero per-peer allocations) and packs the §4.1
-//! admission vector into a single `u64` — one 4-bit exponent nibble per
-//! class, valid because exponents are bounded by
-//! `PeerClass::MAX - 1 = 15`.
+//! Every peer field lives in parallel fixed-width arrays (~40 bytes per
+//! peer, zero per-peer allocations), and the §4.1 admission vector is
+//! packed into a single `u64` — one 4-bit exponent nibble per class,
+//! valid because exponents are bounded by `PeerClass::MAX - 1 = 15`.
 
 use p2ps_core::admission::Protocol;
 
@@ -73,9 +69,9 @@ impl PackedVector {
         self.exponent(class) == 0
     }
 
-    /// The lowest (numerically largest) favored class. At least the
-    /// supplier's own class is always favored.
-    #[allow(dead_code)] // exercised by the equivalence tests
+    /// The lowest (numerically largest) favored class — the paper's
+    /// Fig. 7 metric. At least the supplier's own class is always
+    /// favored.
     pub fn lowest_favored(self, num_classes: u8) -> u8 {
         let mut lowest = 1;
         for j in 1..=num_classes {
@@ -176,12 +172,6 @@ impl PeerStore {
         self.class.len()
     }
 
-    /// Whether the store holds no peers.
-    #[allow(dead_code)] // exercised by the layout tests
-    pub fn is_empty(&self) -> bool {
-        self.class.is_empty()
-    }
-
     /// Removes every peer, keeping all allocations.
     pub fn clear(&mut self) {
         self.class.clear();
@@ -217,23 +207,47 @@ impl PeerStore {
     /// Folds pending idle relaxation into `local`'s vector up to `now`
     /// (lazy §4.1(b), mirroring `SupplierState::sync`).
     pub fn sync_supplier(&mut self, local: usize, now: u32, t_out: u32, protocol: Protocol) {
-        if protocol == Protocol::Ndac {
-            self.relax_anchor[local] = now.max(self.relax_anchor[local]);
-            return;
-        }
-        if self.flags[local] & flags::BUSY != 0 || t_out == 0 {
-            return;
-        }
+        let (vector, anchor) = self.relaxed(local, now, t_out, protocol);
+        self.vector[local] = vector;
+        self.relax_anchor[local] = anchor;
+    }
+
+    /// `local`'s vector as [`sync_supplier`](Self::sync_supplier) would
+    /// leave it at `now`, without folding the relaxation in.
+    pub fn vector_at(
+        &self,
+        local: usize,
+        now: u32,
+        t_out: u32,
+        protocol: Protocol,
+    ) -> PackedVector {
+        self.relaxed(local, now, t_out, protocol).0
+    }
+
+    /// The vector and relaxation anchor of `local` after idle
+    /// relaxation up to `now`.
+    fn relaxed(
+        &self,
+        local: usize,
+        now: u32,
+        t_out: u32,
+        protocol: Protocol,
+    ) -> (PackedVector, u32) {
+        let mut vector = self.vector[local];
         let anchor = self.relax_anchor[local];
-        if now <= anchor {
-            return;
+        if protocol == Protocol::Ndac {
+            return (vector, now.max(anchor));
         }
-        let steps = u64::from((now - anchor) / t_out);
-        if steps > 0 {
-            let num_classes = 16; // relaxation is per-nibble; spare nibbles stay 0
-            self.vector[local].relax_times(steps, num_classes);
-            self.relax_anchor[local] = anchor + (steps as u32) * t_out;
+        if self.flags[local] & flags::BUSY != 0 || t_out == 0 || now <= anchor {
+            return (vector, anchor);
         }
+        let steps = (now - anchor) / t_out;
+        if steps == 0 {
+            return (vector, anchor);
+        }
+        // Relaxation is per-nibble; spare nibbles stay 0.
+        vector.relax_times(u64::from(steps), 16);
+        (vector, anchor + steps * t_out)
     }
 
     /// Approximate bytes of store state per peer (for capacity planning
@@ -398,7 +412,7 @@ mod tests {
     #[test]
     fn store_push_and_layout() {
         let mut store = PeerStore::with_capacity(4);
-        assert!(store.is_empty());
+        assert_eq!(store.len(), 0);
         let a = store.push(1, 0, state::SUPPLYING, 7);
         let b = store.push(3, 2, state::WAITING, 9);
         assert_eq!((a, b), (0, 1));

@@ -7,14 +7,16 @@
 //! 72 hours of a 144-hour run, under four arrival patterns. Admission is
 //! controlled by `DACp2p` or the non-differentiated `NDACp2p` baseline.
 //!
-//! This crate re-creates that experiment as a deterministic discrete-event
-//! simulation: given a [`SimConfig`] and a seed, [`Simulation::run`]
-//! produces a [`SimReport`] holding every series and table the paper
+//! This crate re-creates that experiment as a deterministic event
+//! simulation: given an [`AmpConfig`] and a seed, [`AmpEngine::run`]
+//! produces an [`AmpReport`] holding every series and table the paper
 //! plots — capacity amplification (Fig. 4), per-class accumulative
 //! admission rate (Fig. 5), per-class accumulative buffering delay
 //! (Fig. 6), rejections before admission (Table 1), the lowest favored
 //! class per supplier class (Fig. 7), and the parameter sweeps behind
-//! Figs. 8 and 9.
+//! Figs. 8 and 9. The same engine scales the model to 10⁶ peers over a
+//! Zipf catalog: a sharded, epoch-synchronous event loop whose trace is
+//! bit-identical at any shard or thread count.
 //!
 //! Beyond the paper's own workload, the [`ScenarioMatrix`] crosses every
 //! [`p2ps_policy::SelectionPolicy`] (the §3 `OTSp2p` assignment plus the
@@ -25,47 +27,43 @@
 //!
 //! # Examples
 //!
-//! A scaled-down run (500 peers, 24 simulated hours) finishing in
-//! milliseconds:
+//! A scaled-down run of the paper's setup (510 peers, 24 simulated
+//! hours) finishing in milliseconds:
 //!
 //! ```
-//! use p2ps_sim::{ArrivalPattern, SimConfig, Simulation};
+//! use p2ps_sim::{AmpConfig, AmpEngine, ArrivalPattern, ArrivalProcess};
 //! use p2ps_core::admission::Protocol;
 //!
-//! let config = SimConfig::builder()
+//! let config = AmpConfig::paper()
 //!     .requesting_peers(500)
 //!     .seed_suppliers(10)
-//!     .arrival_window_hours(12)
-//!     .duration_hours(24)
-//!     .pattern(ArrivalPattern::Constant)
+//!     .arrival_window_secs(12 * 3_600)
+//!     .horizon_secs(24 * 3_600)
+//!     .process(ArrivalProcess::Pattern(ArrivalPattern::Constant))
 //!     .protocol(Protocol::Dac)
 //!     .build()?;
-//! let report = Simulation::new(config, 42).run();
+//! let report = AmpEngine::new(config, 42).run();
 //! assert!(report.final_capacity() > 10.0);
-//! # Ok::<(), p2ps_sim::ConfigError>(())
+//! // Table 1: class-1 requesters wait through fewer rejections.
+//! assert!(report.avg_rejections(1) < report.avg_rejections(4));
+//! # Ok::<(), p2ps_sim::AmpConfigError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod arrivals;
-mod config;
 mod engine;
-mod event;
 mod matrix;
-mod metrics;
-mod report;
 mod scenario;
-mod system;
 
 pub use arrivals::{ArrivalPattern, ArrivalProcess, PiecewiseRate};
-pub use config::{ConfigError, SimConfig, SimConfigBuilder};
-pub use engine::{AmpConfig, AmpConfigBuilder, AmpConfigError, AmpEngine, AmpReport, FoldCrossing};
+pub use engine::{
+    AmpConfig, AmpConfigBuilder, AmpConfigError, AmpEngine, AmpReport, ClassSeries, ClassTotals,
+    FavoredWindow, FoldCrossing, HourSample,
+};
 pub use matrix::{CellMetric, CellReport, MatrixReport, ScenarioMatrix};
-pub use metrics::ClassSeries;
-pub use report::SimReport;
 pub use scenario::{ScenarioConfig, SessionOutcome, VodScenario};
-pub use system::Simulation;
 
 /// Seconds per simulated minute.
 pub const MINUTE: u64 = 60;

@@ -1,12 +1,14 @@
 //! Determinism properties of the capacity-amplification engine.
 //!
-//! The headline guarantee: one `u64` seed fully determines the trace.
-//! The FNV-1a digest over the per-epoch sorted trace records must be
-//! bit-identical no matter how the peer population is sharded or how
-//! many worker threads step the shards. These tests pin that property
-//! over 64 seeds, plus the basic shape of the reported curves.
+//! The headline guarantee: one `u64` seed fully determines the run.
+//! The FNV-1a digest over the per-epoch sorted trace records — and every
+//! counter and series of the report — must be bit-identical no matter
+//! how the peer population is sharded or how many worker threads step
+//! the shards. These tests pin that property over 64 seeds, on a
+//! multi-item catalog and on the paper's single-item setup, plus the
+//! basic shape of the reported curves.
 
-use p2ps_sim::{AmpConfig, AmpConfigBuilder, AmpEngine, ArrivalProcess};
+use p2ps_sim::{AmpConfig, AmpConfigBuilder, AmpEngine, AmpReport, ArrivalPattern, ArrivalProcess};
 
 /// A small but non-degenerate population: every item has four seed
 /// suppliers, so sessions assemble, capacity amplifies, and the trace
@@ -23,38 +25,72 @@ fn base_config() -> AmpConfigBuilder {
     builder
 }
 
-fn hash_with(builder: &AmpConfigBuilder, shards: u32, threads: usize, seed: u64) -> u64 {
-    let mut b = builder.clone();
-    b.shards(shards).threads(threads);
-    AmpEngine::new(b.build().unwrap(), seed).run().trace_hash
+/// The paper's setup in miniature: every seed serves the one item, so
+/// that item's seeds span every shard, and with more seeds than `M`
+/// candidate sampling indexes into a pool that all shards fill.
+fn single_item_config() -> AmpConfigBuilder {
+    let mut builder = AmpConfig::builder();
+    builder
+        .requesting_peers(1_000)
+        .seed_suppliers(10)
+        .catalog_items(1)
+        .process(ArrivalProcess::Pattern(ArrivalPattern::Ramp))
+        .arrival_window_secs(1_800)
+        .horizon_secs(2 * 3_600)
+        .epoch_secs(60);
+    builder
 }
 
-/// The tentpole property: for 64 consecutive seeds, the trace hash is
+fn hash_with(builder: &AmpConfigBuilder, shards: u32, threads: usize, seed: u64) -> u64 {
+    run_with(builder, shards, threads, seed).trace_hash
+}
+
+/// The run's report with the fields that legitimately vary by
+/// execution — wall-clock time, thread and shard counts — zeroed, so
+/// two reports compare on everything the model produced.
+fn run_with(builder: &AmpConfigBuilder, shards: u32, threads: usize, seed: u64) -> AmpReport {
+    let mut b = builder.clone();
+    b.shards(shards).threads(threads);
+    let mut report = AmpEngine::new(b.build().unwrap(), seed).run();
+    report.elapsed_micros = 0;
+    report.threads = 0;
+    report.shards = 0;
+    report
+}
+
+/// The tentpole property: for 64 consecutive seeds, the whole report —
+/// trace hash, per-class counters and every hourly series — is
 /// identical at 1, 2, and 4 shards. Sharding is an implementation
 /// detail of the engine, never an observable of the model.
 #[test]
 fn trace_hash_is_shard_count_invariant_over_64_seeds() {
-    let builder = base_config();
-    for seed in 0..64u64 {
-        let h1 = hash_with(&builder, 1, 1, seed);
-        let h2 = hash_with(&builder, 2, 1, seed);
-        let h4 = hash_with(&builder, 4, 1, seed);
-        assert_eq!(h1, h2, "seed {seed}: 1-shard vs 2-shard hash diverged");
-        assert_eq!(h1, h4, "seed {seed}: 1-shard vs 4-shard hash diverged");
+    for builder in [base_config(), single_item_config()] {
+        for seed in 0..64u64 {
+            let r1 = run_with(&builder, 1, 1, seed);
+            let r2 = run_with(&builder, 2, 1, seed);
+            let r4 = run_with(&builder, 4, 1, seed);
+            assert_eq!(r1.trace_hash, r2.trace_hash, "seed {seed}: 1 vs 2 shards");
+            assert_eq!(r1.trace_hash, r4.trace_hash, "seed {seed}: 1 vs 4 shards");
+            assert_eq!(r1, r2, "seed {seed}: 1-shard vs 2-shard report diverged");
+            assert_eq!(r1, r4, "seed {seed}: 1-shard vs 4-shard report diverged");
+        }
     }
 }
 
-/// Worker threads only change wall-clock time, never the trace: at a
-/// fixed shard count the digest is identical at 1, 2, and 4 threads.
+/// Worker threads only change wall-clock time, never the run: at a
+/// fixed shard count the report is identical at 1, 2, and 4 threads.
 #[test]
 fn trace_hash_is_thread_count_invariant() {
-    let builder = base_config();
-    for seed in [3u64, 17, 42, 1_000_003] {
-        let h1 = hash_with(&builder, 4, 1, seed);
-        let h2 = hash_with(&builder, 4, 2, seed);
-        let h4 = hash_with(&builder, 4, 4, seed);
-        assert_eq!(h1, h2, "seed {seed}: 1-thread vs 2-thread hash diverged");
-        assert_eq!(h1, h4, "seed {seed}: 1-thread vs 4-thread hash diverged");
+    for builder in [base_config(), single_item_config()] {
+        for seed in [3u64, 17, 42, 1_000_003] {
+            let r1 = run_with(&builder, 4, 1, seed);
+            let r2 = run_with(&builder, 4, 2, seed);
+            let r4 = run_with(&builder, 4, 4, seed);
+            assert_eq!(r1.trace_hash, r2.trace_hash, "seed {seed}: 1 vs 2 threads");
+            assert_eq!(r1.trace_hash, r4.trace_hash, "seed {seed}: 1 vs 4 threads");
+            assert_eq!(r1, r2, "seed {seed}: 1-thread vs 2-thread report diverged");
+            assert_eq!(r1, r4, "seed {seed}: 1-thread vs 4-thread report diverged");
+        }
     }
 }
 

@@ -3,22 +3,25 @@
 //! that runs in seconds even in debug builds.
 
 use p2ps_core::admission::Protocol;
-use p2ps_sim::{ArrivalPattern, SimConfig, SimConfigBuilder, Simulation};
+use p2ps_sim::{AmpConfig, AmpConfigBuilder, AmpEngine, ArrivalPattern, ArrivalProcess};
 
-fn base() -> SimConfigBuilder {
-    let mut b = SimConfig::builder();
+const HOUR: u32 = 3_600;
+
+fn base() -> AmpConfigBuilder {
+    let mut b = AmpConfig::paper();
     b.seed_suppliers(10)
         .requesting_peers(3_000)
-        .arrival_window_hours(24)
-        .duration_hours(48)
-        .pattern(ArrivalPattern::Ramp);
+        .arrival_window_secs(24 * HOUR)
+        .horizon_secs(48 * HOUR)
+        .process(ArrivalProcess::Pattern(ArrivalPattern::Ramp));
     b
 }
 
 #[test]
 fn fig4_shape_dac_amplifies_faster() {
-    let dac = Simulation::new(base().protocol(Protocol::Dac).build().unwrap(), 42).run();
-    let ndac = Simulation::new(base().protocol(Protocol::Ndac).build().unwrap(), 42).run();
+    let dac_config = base().protocol(Protocol::Dac).build().unwrap();
+    let dac = AmpEngine::new(dac_config.clone(), 42).run();
+    let ndac = AmpEngine::new(base().protocol(Protocol::Ndac).build().unwrap(), 42).run();
     let mid = 16.0;
     assert!(
         dac.capacity().value_at(mid).unwrap() > 1.3 * ndac.capacity().value_at(mid).unwrap(),
@@ -29,15 +32,16 @@ fn fig4_shape_dac_amplifies_faster() {
     // DAC converges much higher by the end at this reduced scale (the
     // paper-scale harness reaches ≥95 % for both; at 3,000 peers over
     // 48 h NDAC is still far behind — the gap the figure is about).
-    let max = dac.config().expected_max_capacity();
+    let max = dac_config.expected_max_capacity();
     assert!(dac.final_capacity() > 0.75 * max);
     assert!(dac.final_capacity() > 1.5 * ndac.final_capacity());
 }
 
 #[test]
 fn fig5_shape_admission_rates_ordered_by_class_under_dac() {
-    let dac = Simulation::new(base().build().unwrap(), 42).run();
-    let at = |k: u8, t: f64| dac.admission_rate().class(k).value_at(t).unwrap_or(0.0);
+    let dac = AmpEngine::new(base().build().unwrap(), 42).run();
+    let rate = dac.class_admission_rate();
+    let at = |k: u8, t: f64| rate.class(k).value_at(t).unwrap_or(0.0);
     // During the growth phase the rates are strictly ordered.
     let t = 16.0;
     assert!(
@@ -52,9 +56,9 @@ fn fig5_shape_admission_rates_ordered_by_class_under_dac() {
 
 #[test]
 fn fig8a_shape_m4_collapses_capacity_growth() {
-    let m4 = Simulation::new(base().m(4).build().unwrap(), 42).run();
-    let m8 = Simulation::new(base().m(8).build().unwrap(), 42).run();
-    let m16 = Simulation::new(base().m(16).build().unwrap(), 42).run();
+    let m4 = AmpEngine::new(base().m(4).build().unwrap(), 42).run();
+    let m8 = AmpEngine::new(base().m(8).build().unwrap(), 42).run();
+    let m16 = AmpEngine::new(base().m(16).build().unwrap(), 42).run();
     let end = 48.0;
     let c4 = m4.capacity().value_at(end).unwrap();
     let c8 = m8.capacity().value_at(end).unwrap();
@@ -68,8 +72,8 @@ fn fig8a_shape_m4_collapses_capacity_growth() {
 
 #[test]
 fn fig9_shape_constant_backoff_wins() {
-    let e1 = Simulation::new(base().e_bkf(1).build().unwrap(), 42).run();
-    let e4 = Simulation::new(base().e_bkf(4).build().unwrap(), 42).run();
+    let e1 = AmpEngine::new(base().e_bkf(1).build().unwrap(), 42).run();
+    let e4 = AmpEngine::new(base().e_bkf(4).build().unwrap(), 42).run();
     assert!(
         e1.final_overall_admission_rate() >= e4.final_overall_admission_rate(),
         "E_bkf=1 ({:.1}%) must beat E_bkf=4 ({:.1}%)",
@@ -77,7 +81,7 @@ fn fig9_shape_constant_backoff_wins() {
         e4.final_overall_admission_rate()
     );
     assert!(
-        e1.attempts() > e4.attempts(),
+        e1.attempts > e4.attempts,
         "constant backoff retries more aggressively"
     );
 }
@@ -85,11 +89,12 @@ fn fig9_shape_constant_backoff_wins() {
 #[test]
 fn fig7_shape_differentiation_relaxes_once_demand_stops() {
     let mut b = base();
-    b.pattern(ArrivalPattern::PeriodicBursts);
-    let report = Simulation::new(b.build().unwrap(), 42).run();
+    b.process(ArrivalProcess::Pattern(ArrivalPattern::PeriodicBursts));
+    let report = AmpEngine::new(b.build().unwrap(), 42).run();
+    let lowest_favored = report.lowest_favored();
     // At the end every supplier class favors everyone (value 4).
     for k in 1..=4u8 {
-        let (_, last) = report.lowest_favored().class(k).last().unwrap();
+        let (_, last) = lowest_favored.class(k).last().unwrap();
         assert!(
             last > 3.9,
             "supplier class {k} ended at lowest-favored {last}"
@@ -97,8 +102,7 @@ fn fig7_shape_differentiation_relaxes_once_demand_stops() {
     }
     // Early on, class-1 suppliers are the most selective.
     let early_mean = |k: u8| {
-        let pts: Vec<f64> = report
-            .lowest_favored()
+        let pts: Vec<f64> = lowest_favored
             .class(k)
             .iter()
             .filter(|(t, _)| *t <= 12.0)
@@ -116,8 +120,8 @@ fn fig7_shape_differentiation_relaxes_once_demand_stops() {
 
 #[test]
 fn table1_shape_rejections_ordered_and_dac_dominates() {
-    let dac = Simulation::new(base().build().unwrap(), 42).run();
-    let ndac = Simulation::new(base().protocol(Protocol::Ndac).build().unwrap(), 42).run();
+    let dac = AmpEngine::new(base().build().unwrap(), 42).run();
+    let ndac = AmpEngine::new(base().protocol(Protocol::Ndac).build().unwrap(), 42).run();
     let d1 = dac.avg_rejections(1).unwrap();
     let d4 = dac.avg_rejections(4).unwrap();
     assert!(d1 < d4, "DAC: class 1 ({d1:.2}) < class 4 ({d4:.2})");

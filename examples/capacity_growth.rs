@@ -8,7 +8,7 @@
 
 use p2ps::core::admission::Protocol;
 use p2ps::metrics::{AsciiPlot, TimeSeries};
-use p2ps::sim::{ArrivalPattern, SimConfig, Simulation};
+use p2ps::sim::{AmpConfig, AmpEngine, ArrivalPattern, ArrivalProcess};
 
 fn renamed(series: &TimeSeries, name: &str) -> TimeSeries {
     let mut out = TimeSeries::new(name);
@@ -19,16 +19,16 @@ fn renamed(series: &TimeSeries, name: &str) -> TimeSeries {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut reports = Vec::new();
     for protocol in [Protocol::Dac, Protocol::Ndac] {
-        let config = SimConfig::builder()
+        let config = AmpConfig::paper()
             .seed_suppliers(10)
             .requesting_peers(5_000)
-            .arrival_window_hours(24)
-            .duration_hours(48)
-            .pattern(ArrivalPattern::Ramp)
+            .arrival_window_secs(24 * 3_600)
+            .horizon_secs(48 * 3_600)
+            .process(ArrivalProcess::Pattern(ArrivalPattern::Ramp))
             .protocol(protocol)
             .build()?;
         let started = std::time::Instant::now();
-        let report = Simulation::new(config, 42).run();
+        let report = AmpEngine::new(config, 42).run();
         println!(
             "{protocol}: simulated 48h of 5,010 peers in {:?} — final capacity {:.0}",
             started.elapsed(),
@@ -37,8 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         reports.push((protocol, report));
     }
 
-    let dac = renamed(reports[0].1.capacity(), "DAC_p2p");
-    let ndac = renamed(reports[1].1.capacity(), "NDAC_p2p");
+    let dac = renamed(&reports[0].1.capacity(), "DAC_p2p");
+    let ndac = renamed(&reports[1].1.capacity(), "NDAC_p2p");
     let plot = AsciiPlot::new(
         "Total system capacity over time (arrival pattern 2)",
         72,
@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!(
                 "  class {k}: admission {:.1}%, avg rejections {:.2}, avg buffering delay {:.2}·δt",
                 report
-                    .admission_rate()
+                    .class_admission_rate()
                     .class(k)
                     .last()
                     .map(|(_, v)| v)

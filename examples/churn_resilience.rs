@@ -1,8 +1,8 @@
 //! Beyond the paper: what happens when suppliers *leave*?
 //!
-//! The paper's suppliers serve forever. Here each peer supplies for a
-//! bounded lifetime after converting, and the system must outgrow its own
-//! attrition. Under heavy churn the differentiated protocol is no longer
+//! The paper's suppliers serve forever. Here each converted peer
+//! supplies for an exponentially distributed lifetime with a bounded
+//! mean, and the system must outgrow its own attrition. Under heavy churn the differentiated protocol is no longer
 //! just faster — it is the difference between a functioning system and a
 //! collapsed one.
 //!
@@ -10,7 +10,7 @@
 
 use p2ps::core::admission::Protocol;
 use p2ps::metrics::{AsciiPlot, Table, TimeSeries};
-use p2ps::sim::{ArrivalPattern, SimConfig, Simulation};
+use p2ps::sim::{AmpConfig, AmpEngine, ArrivalPattern, ArrivalProcess};
 
 fn renamed(series: &TimeSeries, name: &str) -> TimeSeries {
     let mut out = TimeSeries::new(name);
@@ -20,27 +20,25 @@ fn renamed(series: &TimeSeries, name: &str) -> TimeSeries {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut table = Table::new([
-        "lifetime",
+        "mean lifetime",
         "protocol",
         "peak capacity",
         "overall admission %",
     ]);
     let mut curves = Vec::new();
 
-    for lifetime_hours in [4u64, 12, 0] {
+    for lifetime_hours in [4u32, 12, 0] {
         for protocol in [Protocol::Dac, Protocol::Ndac] {
-            let mut builder = SimConfig::builder();
-            builder
+            let config = AmpConfig::paper()
                 .seed_suppliers(20)
                 .requesting_peers(8_000)
-                .arrival_window_hours(36)
-                .duration_hours(72)
-                .pattern(ArrivalPattern::Ramp)
-                .protocol(protocol);
-            if lifetime_hours > 0 {
-                builder.supplier_lifetime_hours(lifetime_hours);
-            }
-            let report = Simulation::new(builder.build()?, 42).run();
+                .arrival_window_secs(36 * 3_600)
+                .horizon_secs(72 * 3_600)
+                .process(ArrivalProcess::Pattern(ArrivalPattern::Ramp))
+                .protocol(protocol)
+                .supplier_lifetime_secs(lifetime_hours * 3_600)
+                .build()?;
+            let report = AmpEngine::new(config, 42).run();
             let peak = report
                 .capacity()
                 .iter()
@@ -59,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ]);
             if protocol == Protocol::Dac {
                 curves.push(renamed(
-                    report.capacity(),
+                    &report.capacity(),
                     &format!("DAC, lifetime {label}"),
                 ));
             }

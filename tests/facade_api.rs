@@ -31,7 +31,7 @@ use p2ps::proto::{
     decode_frame, encode_frame, read_message, write_message, CandidateRecord, DecodeError, Message,
     SessionPlan, MAX_FRAME_LEN,
 };
-use p2ps::sim::{ArrivalPattern, PiecewiseRate, SimConfig, Simulation};
+use p2ps::sim::{AmpConfig, AmpEngine, ArrivalPattern, ArrivalProcess, PiecewiseRate};
 
 fn class(k: u8) -> PeerClass {
     PeerClass::new(k).unwrap()
@@ -290,24 +290,25 @@ fn sim_module_is_complete() {
     let custom = PiecewiseRate::new(vec![(0.0, 1.0, 1.0)]);
     let times = ArrivalPattern::Custom(custom).generate(10, 3_600, &mut rng);
     assert_eq!(times.len(), 10);
-    let _builder_type_is_exported: Option<p2ps::sim::SimConfigBuilder> = None;
+    let _builder_type_is_exported: Option<p2ps::sim::AmpConfigBuilder> = None;
     let _series_type_is_exported: Option<&p2ps::sim::ClassSeries> = None;
-    let _error_type_is_exported: Option<p2ps::sim::ConfigError> = None;
+    let _error_type_is_exported: Option<p2ps::sim::AmpConfigError> = None;
+    let _totals_type_is_exported: Option<&p2ps::sim::ClassTotals> = None;
 }
 
 #[test]
 fn a_small_simulation_runs_through_the_facade() {
-    let config = SimConfig::builder()
+    let config = AmpConfig::paper()
         .requesting_peers(120)
         .seed_suppliers(4)
-        .arrival_window_hours(4)
-        .duration_hours(8)
-        .session_minutes(30)
-        .pattern(ArrivalPattern::InitialBurst)
+        .arrival_window_secs(4 * 3_600)
+        .horizon_secs(8 * 3_600)
+        .session_secs(30 * 60)
+        .process(ArrivalProcess::Pattern(ArrivalPattern::InitialBurst))
         .protocol(Protocol::Dac)
         .build()
         .unwrap();
-    let report: p2ps::sim::SimReport = Simulation::new(config, 1).run();
+    let report: p2ps::sim::AmpReport = AmpEngine::new(config, 1).run();
     assert!(report.final_capacity() > 2.0);
     assert!(report.final_overall_admission_rate() > 0.0);
 }

@@ -4,15 +4,17 @@
 use proptest::prelude::*;
 
 use p2ps::core::admission::Protocol;
-use p2ps::sim::{ArrivalPattern, SimConfig, Simulation};
+use p2ps::sim::{AmpConfig, AmpEngine, ArrivalPattern, ArrivalProcess};
 
-fn mid_config(protocol: Protocol, pattern: ArrivalPattern) -> SimConfig {
-    SimConfig::builder()
+const HOUR: u32 = 3_600;
+
+fn mid_config(protocol: Protocol, pattern: ArrivalPattern) -> AmpConfig {
+    AmpConfig::paper()
         .seed_suppliers(10)
         .requesting_peers(2_000)
-        .arrival_window_hours(24)
-        .duration_hours(48)
-        .pattern(pattern)
+        .arrival_window_secs(24 * HOUR)
+        .horizon_secs(48 * HOUR)
+        .process(ArrivalProcess::Pattern(pattern))
         .protocol(protocol)
         .build()
         .expect("valid config")
@@ -22,8 +24,8 @@ fn mid_config(protocol: Protocol, pattern: ArrivalPattern) -> SimConfig {
 fn dac_amplifies_capacity_faster_than_ndac() {
     // The paper's central claim (Fig. 4) at reduced scale: DAC capacity
     // dominates NDAC through the growth phase.
-    let dac = Simulation::new(mid_config(Protocol::Dac, ArrivalPattern::Ramp), 42).run();
-    let ndac = Simulation::new(mid_config(Protocol::Ndac, ArrivalPattern::Ramp), 42).run();
+    let dac = AmpEngine::new(mid_config(Protocol::Dac, ArrivalPattern::Ramp), 42).run();
+    let ndac = AmpEngine::new(mid_config(Protocol::Ndac, ArrivalPattern::Ramp), 42).run();
     for hour in [12.0, 18.0, 24.0, 30.0] {
         let d = dac.capacity().value_at(hour).unwrap();
         let n = ndac.capacity().value_at(hour).unwrap();
@@ -42,8 +44,8 @@ fn dac_amplifies_capacity_faster_than_ndac() {
 fn dac_differentiates_rejections_by_class_ndac_does_not() {
     // Table 1's structure: under DAC rejections grow with class number;
     // under NDAC all classes look alike.
-    let dac = Simulation::new(mid_config(Protocol::Dac, ArrivalPattern::Ramp), 42).run();
-    let ndac = Simulation::new(mid_config(Protocol::Ndac, ArrivalPattern::Ramp), 42).run();
+    let dac = AmpEngine::new(mid_config(Protocol::Dac, ArrivalPattern::Ramp), 42).run();
+    let ndac = AmpEngine::new(mid_config(Protocol::Ndac, ArrivalPattern::Ramp), 42).run();
 
     let d: Vec<f64> = (1..=4).map(|k| dac.avg_rejections(k).unwrap()).collect();
     assert!(
@@ -95,14 +97,16 @@ fn capacity_accounting_is_exact() {
     // Final capacity == seeds + contributions of exactly the peers whose
     // sessions *completed* within the horizon.
     let cfg = mid_config(Protocol::Dac, ArrivalPattern::Constant);
-    let report = Simulation::new(cfg.clone(), 7).run();
-    let initial = cfg.seed_suppliers() as f64
-        * cfg
-            .offer_of(p2ps::core::PeerClass::HIGHEST)
-            .fraction_of_rate();
+    let report = AmpEngine::new(cfg.clone(), 7).run();
+    let initial = cfg.seed_suppliers() as f64 * offer_fraction(&cfg, 1);
     assert!(report.final_capacity() >= initial);
     assert!(report.final_capacity() <= cfg.expected_max_capacity() * 1.05);
-    assert!(report.sessions_completed() <= report.admitted().iter().sum::<u64>());
+    assert!(report.supplies <= report.admits);
+}
+
+/// The share of the playback rate a class-`class` supplier offers.
+fn offer_fraction(cfg: &AmpConfig, class: u8) -> f64 {
+    cfg.offer_raw(class) as f64 / f64::from(p2ps::core::Bandwidth::FULL_RATE.raw())
 }
 
 proptest! {
@@ -129,34 +133,32 @@ proptest! {
             ArrivalPattern::InitialBurst,
             ArrivalPattern::PeriodicBursts,
         ][pattern_no].clone();
-        let cfg = SimConfig::builder()
+        let cfg = AmpConfig::paper()
             .seed_suppliers(seeds)
             .requesting_peers(requesters)
-            .arrival_window_hours(window)
-            .duration_hours(window + extra)
-            .session_minutes(session_min)
+            .arrival_window_secs(window as u32 * HOUR)
+            .horizon_secs((window + extra) as u32 * HOUR)
+            .session_secs(session_min as u32 * 60)
             .m(m)
             .e_bkf(e_bkf)
-            .pattern(pattern)
+            .process(ArrivalProcess::Pattern(pattern))
             .protocol(if protocol_dac { Protocol::Dac } else { Protocol::Ndac })
             .build()
             .unwrap();
-        let report = Simulation::new(cfg.clone(), seed).run();
+        let report = AmpEngine::new(cfg.clone(), seed).run();
 
-        let requested: u64 = report.first_requests().iter().sum();
-        let admitted: u64 = report.admitted().iter().sum();
+        let requested: u64 = report.classes.iter().map(|c| c.first_requests).sum();
+        let admitted: u64 = report.classes.iter().map(|c| c.admits).sum();
         prop_assert_eq!(requested, requesters as u64);
         prop_assert!(admitted <= requested);
-        prop_assert!(report.sessions_completed() <= admitted);
-        prop_assert!(report.attempts() >= requested);
+        prop_assert!(report.supplies <= admitted);
+        prop_assert!(report.attempts >= requested);
         // capacity is monotone and bounded (the hard bound uses the best
         // possible class for every requester; expected_max_capacity is an
         // expectation over the mix, not a bound)
         let caps: Vec<f64> = report.capacity().iter().map(|(_, v)| v).collect();
         prop_assert!(caps.windows(2).all(|w| w[1] >= w[0]));
-        let best_offer = cfg
-            .offer_of(p2ps::core::PeerClass::HIGHEST)
-            .fraction_of_rate();
+        let best_offer = offer_fraction(&cfg, 1);
         let hard_max = (seeds as f64 + requesters as f64) * best_offer;
         prop_assert!(report.final_capacity() <= hard_max + 1e-9);
         // per-class delay, when present, spans 1..=16 suppliers
@@ -170,19 +172,19 @@ proptest! {
     /// Replays are bit-identical for any seed.
     #[test]
     fn determinism_on_random_seeds(seed in 0u64..500) {
-        let cfg = SimConfig::builder()
+        let cfg = AmpConfig::paper()
             .seed_suppliers(3)
             .requesting_peers(60)
-            .arrival_window_hours(3)
-            .duration_hours(6)
-            .session_minutes(20)
-            .pattern(ArrivalPattern::PeriodicBursts)
+            .arrival_window_secs(3 * HOUR)
+            .horizon_secs(6 * HOUR)
+            .session_secs(20 * 60)
+            .process(ArrivalProcess::Pattern(ArrivalPattern::PeriodicBursts))
             .build()
             .unwrap();
-        let a = Simulation::new(cfg.clone(), seed).run();
-        let b = Simulation::new(cfg, seed).run();
-        prop_assert_eq!(a.attempts(), b.attempts());
-        prop_assert_eq!(a.admitted(), b.admitted());
+        let a = AmpEngine::new(cfg.clone(), seed).run();
+        let b = AmpEngine::new(cfg, seed).run();
+        prop_assert_eq!(a.attempts, b.attempts);
+        prop_assert_eq!(a.admits, b.admits);
         prop_assert_eq!(a.final_capacity(), b.final_capacity());
         prop_assert_eq!(
             a.capacity().iter().collect::<Vec<_>>(),
